@@ -697,7 +697,7 @@ impl OperaLogic {
                     self.counters.hop_limit_drops += 1;
                     return;
                 }
-                let choice = hops[self.rng.index(hops.len())] as usize;
+                let choice = hops.nth(self.rng.index(hops.len()));
                 fabric.send(ctx, self.tor_node(rack), self.up_port(choice), packet);
             }
         }

@@ -13,8 +13,8 @@ use netsim::{FlowClass, FlowTracker, NetLogic, NetWorld, Packet, PacketKind};
 use simkit::engine::EventContext;
 use simkit::{SimRng, Simulator};
 use topo::clos::{ClosParams, ClosTopology};
+use topo::ecmp::{EcmpSet, SlotAdjacency};
 use topo::expander::{ExpanderParams, ExpanderTopology};
-use topo::graph::Graph;
 use transport::{Transport, TransportKind};
 use workloads::FlowSpec;
 
@@ -86,17 +86,15 @@ impl StaticNetConfig {
 pub struct StaticLogic {
     /// Configuration (kept for introspection by harnesses).
     pub cfg: StaticNetConfig,
-    /// Switch graph.
-    graph: Graph,
     /// Hosts per ToR and ToR count (ToRs are graph nodes `0..tors`).
     hosts_per_tor: usize,
     tors: usize,
     hosts: Vec<Box<dyn Transport>>,
     tracker: FlowTracker,
     rng: SimRng,
-    /// `next_hop[dst_tor * graph.len() + node]` → adjacency indices on
-    /// shortest paths.
-    next_hops: Vec<Vec<u8>>,
+    /// `next_hops[vertex * tors + dst_tor]` → adjacency indices on
+    /// shortest paths, as an ECMP mask.
+    next_hops: Vec<u32>,
     pending: Vec<FlowSpec>,
     next_flow: usize,
     /// Packets dropped with no route (should stay zero).
@@ -186,12 +184,12 @@ impl NetLogic for StaticLogic {
             fabric.send(ctx, node, down, packet);
             return;
         }
-        let hops = &self.next_hops[dst_tor * self.graph.len() + vertex];
+        let hops = EcmpSet::from_mask(self.next_hops[vertex * self.tors + dst_tor]);
         if hops.is_empty() {
             self.routing_drops += 1;
             return;
         }
-        let i = hops[self.rng.index(hops.len())] as usize;
+        let i = hops.nth(self.rng.index(hops.len()));
         let port = self.adj_port(vertex, i);
         fabric.send(ctx, node, port, packet);
     }
@@ -229,22 +227,8 @@ pub fn build(cfg: StaticNetConfig, mut flows: Vec<FlowSpec>) -> StaticNet {
 
     // Routing tables: adjacency indices on shortest paths toward each ToR.
     let n = graph.len();
-    let mut next_hops = vec![Vec::new(); tors * n];
-    for dst_tor in 0..tors {
-        let dist = graph.bfs_distances(dst_tor);
-        for v in 0..n {
-            if v == dst_tor || dist[v] == usize::MAX {
-                continue;
-            }
-            let mut choices = Vec::new();
-            for (i, e) in graph.edges(v).iter().enumerate() {
-                if dist[e.to] + 1 == dist[v] {
-                    choices.push(i as u8);
-                }
-            }
-            next_hops[dst_tor * n + v] = choices;
-        }
-    }
+    let mut next_hops = vec![0; n * tors];
+    SlotAdjacency::from_graph(&graph).ecmp_masks(tors, &mut next_hops);
 
     let mut fabric = Fabric::new();
     for _ in 0..hosts_total {
@@ -290,7 +274,6 @@ pub fn build(cfg: StaticNetConfig, mut flows: Vec<FlowSpec>) -> StaticNet {
         hosts: (0..hosts_total).map(|h| cfg.transport.make(h, 0)).collect(),
         tracker: FlowTracker::new(),
         rng: SimRng::new(cfg.seed.wrapping_add(77)),
-        graph,
         hosts_per_tor,
         tors,
         next_hops,

@@ -3,8 +3,10 @@
 //! This crate builds every network topology the paper evaluates and provides
 //! the graph machinery the evaluation rests on:
 //!
-//! * [`graph`] — rack-level multigraphs, BFS shortest paths, ECMP next-hop
-//!   tables, diameter / average path length,
+//! * [`graph`] — rack-level multigraphs, BFS shortest paths, diameter /
+//!   average path length,
+//! * [`ecmp`] — shortest-path ECMP port masks over neighbour-by-slot
+//!   adjacency, the one primitive every routing table is built from,
 //! * [`matching`] — perfect/near-perfect matchings and the round-robin
 //!   factorization of the complete graph into `N` disjoint matchings (§3.3),
 //! * [`lifting`] — graph lifting to build large factorizations from small
@@ -36,6 +38,7 @@
 
 pub mod clos;
 pub mod cost;
+pub mod ecmp;
 pub mod expander;
 pub mod failures;
 pub mod graph;

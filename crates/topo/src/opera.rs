@@ -12,6 +12,7 @@
 //! is the union of the matchings of the other `u − g` switches — which is an
 //! expander with high probability for `u − g ≥ 3` (§3.1.2).
 
+use crate::ecmp::SlotAdjacency;
 use crate::graph::{Graph, NodeId};
 use crate::lifting::factorize_lifted;
 use crate::matching::{validate_factorization, Matching};
@@ -306,20 +307,24 @@ impl<'a> SliceView<'a> {
         g
     }
 
-    /// Direct (single-hop) destinations of `rack` this slice, as
-    /// `(destination rack, circuit switch)` pairs — the bulk table of §4.3.
-    pub fn direct_destinations(&self, rack: NodeId) -> Vec<(NodeId, usize)> {
-        let mut out = Vec::new();
+    /// Routable circuits by slot: slot `j` of rack `r` is its circuit
+    /// through switch `j`, a hole while `j` reconfigures or when `r` is
+    /// self-matched. Row `r` lists `r`'s direct (single-hop) destinations
+    /// this slice — the bulk table of §4.3 — and the whole adjacency is the
+    /// input of the low-latency tables.
+    pub fn slot_adjacency(&self) -> SlotAdjacency {
+        let racks = self.topo.racks();
+        let mut adj = SlotAdjacency::new(racks, self.topo.switches());
         for sw in 0..self.topo.switches() {
             if self.reconfiguring.contains(&sw) {
                 continue;
             }
             let m = self.matching_of(sw);
-            if m.is_matched(rack) {
-                out.push((m.partner(rack), sw));
+            for rack in (0..racks).filter(|&r| m.is_matched(r)) {
+                adj.connect(rack, sw, m.partner(rack));
             }
         }
-        out
+        adj
     }
 }
 
@@ -442,18 +447,17 @@ mod tests {
     }
 
     #[test]
-    fn direct_destinations_consistent_with_graph() {
+    fn slot_adjacency_consistent_with_graph() {
         let t = small();
         let sv = t.slice(5);
         let g = sv.graph();
+        let adj = sv.slot_adjacency();
         for r in 0..t.racks() {
-            let direct = sv.direct_destinations(r);
-            let mut from_graph: Vec<(usize, usize)> =
-                g.edges(r).iter().map(|e| (e.to, e.port)).collect();
-            let mut d = direct.clone();
-            d.sort_unstable();
-            from_graph.sort_unstable();
-            assert_eq!(d, from_graph);
+            let slots: Vec<(usize, usize)> = (0..t.switches())
+                .filter_map(|sw| adj.neighbour(r, sw).map(|to| (to, sw)))
+                .collect();
+            let edges: Vec<(usize, usize)> = g.edges(r).iter().map(|e| (e.to, e.port)).collect();
+            assert_eq!(slots, edges, "rack {r}: adjacency order is switch order");
         }
     }
 

@@ -1,6 +1,7 @@
 //! Property-based tests (proptest) on the core invariants the design
 //! rests on: factorization completeness, slice-schedule correctness,
-//! solver feasibility, transport delivery, and statistics sanity.
+//! solver feasibility, transport delivery, statistics sanity, and
+//! routing tables against the seed per-destination BFS.
 
 use proptest::prelude::*;
 use simkit::stats::Samples;
@@ -690,5 +691,216 @@ proptest! {
             Some(&state), &tor, &perturbed, link_rate, host_cap, phases);
         let cold2 = solver.solve(&tor, &perturbed, link_rate, host_cap, phases).lambda;
         prop_assert_eq!(fallback.lambda.to_bits(), cold2.to_bits());
+    }
+}
+
+/// The seed routing-table builders, kept as oracles for the bit-parallel
+/// `topo::ecmp` masks: a per-slice graph clone with failed circuits
+/// pruned, then one BFS per destination keeping, in adjacency order, the
+/// out-edges that end one hop closer.
+mod reference_routing {
+    use opera::tables::MAX_ECMP;
+    use topo::graph::{Edge, Graph};
+    use topo::opera::OperaTopology;
+
+    fn prune_failed(g: &Graph, bad: &[(usize, usize)]) -> Graph {
+        let mut out = Graph::new(g.len());
+        for v in 0..g.len() {
+            for e in g.edges(v) {
+                if bad.contains(&(v, e.port)) || bad.contains(&(e.to, e.port)) {
+                    continue;
+                }
+                out.add_edge(v, e.to, e.port);
+            }
+        }
+        out
+    }
+
+    fn next_hops_to(g: &Graph, dst: usize) -> Vec<Vec<Edge>> {
+        let dist = g.bfs_distances(dst);
+        let mut table = vec![Vec::new(); g.len()];
+        for v in 0..g.len() {
+            if v == dst || dist[v] == usize::MAX {
+                continue;
+            }
+            for e in g.edges(v) {
+                if dist[e.to] != usize::MAX && dist[e.to] + 1 == dist[v] {
+                    table[v].push(*e);
+                }
+            }
+        }
+        table
+    }
+
+    /// Per slice: the routable graph with failed circuits pruned, and
+    /// `hops[dst][cur]` = the first `MAX_ECMP` shortest-path uplinks.
+    pub fn opera_slice(
+        topo: &OperaTopology,
+        s: usize,
+        bad: &[(usize, usize)],
+    ) -> (Graph, Vec<Vec<Vec<usize>>>) {
+        let g = prune_failed(&topo.slice(s).graph(), bad);
+        let hops = (0..topo.racks())
+            .map(|dst| {
+                next_hops_to(&g, dst)
+                    .into_iter()
+                    .map(|es| es.iter().take(MAX_ECMP).map(|e| e.port).collect())
+                    .collect()
+            })
+            .collect();
+        (g, hops)
+    }
+
+    /// Static tables: `[dst_tor][node]` = adjacency indices on shortest
+    /// paths toward each ToR.
+    pub fn static_choices(graph: &Graph, tors: usize) -> Vec<Vec<Vec<usize>>> {
+        (0..tors)
+            .map(|dst| {
+                let dist = graph.bfs_distances(dst);
+                (0..graph.len())
+                    .map(|v| {
+                        if v == dst || dist[v] == usize::MAX {
+                            return Vec::new();
+                        }
+                        (0..graph.degree(v))
+                            .filter(|&i| dist[graph.edges(v)[i].to] + 1 == dist[v])
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+}
+
+/// Opera shapes `(racks, uplinks, groups)` for the routing oracle: rack
+/// counts on both sides of the 64- and 128-bit bitset word boundaries,
+/// and 10–12 uplinks, where more than `MAX_ECMP` uplinks can tie.
+const OPERA_SHAPES: &[(usize, usize, usize)] = &[
+    (63, 3, 1),
+    (63, 7, 1),
+    (63, 9, 3),
+    (64, 4, 2),
+    (64, 8, 1),
+    (65, 5, 1),
+    (128, 8, 2),
+    (129, 3, 1),
+    (12, 12, 1),
+    (24, 12, 2),
+    (22, 11, 1),
+    (20, 10, 1),
+];
+
+/// Random failed `(rack, uplink)` transceivers: up to four anywhere, plus
+/// (when `both_ends`) both ends of one circuit.
+fn random_bad_links(topo: &OperaTopology, seed: u64, both_ends: bool) -> Vec<(usize, usize)> {
+    let mut rng = SimRng::new(seed);
+    let (racks, uplinks) = (topo.racks(), topo.switches());
+    let mut bad: Vec<(usize, usize)> = (0..rng.index(5))
+        .map(|_| (rng.index(racks), rng.index(uplinks)))
+        .collect();
+    if both_ends {
+        let (rack, sw) = (rng.index(racks), rng.index(uplinks));
+        let peer = topo
+            .matching(sw, rng.index(topo.matchings_per_switch()))
+            .partner(rack);
+        bad.extend([(rack, sw), (peer, sw)]);
+    }
+    bad
+}
+
+/// Opera's low-latency and bulk tables equal the seed per-(slice, dst)
+/// BFS in content **and order** for every `(slice, cur, dst)`.
+fn check_opera_tables(shape: usize, seed: u64, both_ends: bool) {
+    use opera::tables::{BulkTables, LowLatencyTables};
+    let (racks, uplinks, groups) = OPERA_SHAPES[shape];
+    let params = OperaParams {
+        racks,
+        uplinks,
+        hosts_per_rack: 1,
+        groups,
+    };
+    let topo = OperaTopology::generate(params, seed);
+    let bad = random_bad_links(&topo, seed ^ 0x5eed, both_ends);
+    let ll = LowLatencyTables::build_with_failures(&topo, &bad);
+    let bulk = BulkTables::build_with_failures(&topo, &bad);
+    for s in 0..topo.slices_per_cycle() {
+        let (g, want) = reference_routing::opera_slice(&topo, s, &bad);
+        for cur in 0..racks {
+            for (dst, want_dst) in want.iter().enumerate() {
+                let got: Vec<usize> = ll.next_hops(s, cur, dst).iter().collect();
+                assert_eq!(
+                    got, want_dst[cur],
+                    "{params:?} seed {seed} bad {bad:?}: slice {s} {cur}->{dst}"
+                );
+            }
+            let mut direct: Vec<(usize, usize)> =
+                g.edges(cur).iter().map(|e| (e.to, e.port)).collect();
+            direct.sort_unstable();
+            let circuits: Vec<(usize, usize)> = bulk.circuits_of(s, cur).collect();
+            assert_eq!(
+                circuits, direct,
+                "{params:?} seed {seed}: slice {s} rack {cur}"
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Random shapes, realizations and failure sets (see
+    /// [`check_opera_tables`]); every shape is also pinned by
+    /// `opera_tables_match_bfs_oracle_on_every_shape`.
+    #[test]
+    fn opera_tables_match_bfs_oracle(
+        shape in 0usize..OPERA_SHAPES.len(),
+        seed in 0u64..10_000,
+        both_ends in 0usize..2,
+    ) {
+        check_opera_tables(shape, seed, both_ends == 1);
+    }
+
+    /// Static Clos and expander tables (`SlotAdjacency::from_graph` over
+    /// the switch graph, as `static_net::build` routes) equal the seed
+    /// adjacency-index choices, in content and order.
+    #[test]
+    fn static_tables_match_bfs_oracle(
+        kind in 0usize..8,
+        uplinks in 3usize..13,
+        seed in 0u64..10_000,
+    ) {
+        use topo::clos::{ClosParams, ClosTopology};
+        use topo::ecmp::{EcmpSet, SlotAdjacency};
+        use topo::expander::{ExpanderParams, ExpanderTopology};
+        let (graph, tors) = match kind {
+            0..=3 => {
+                let (radix, oversubscription) = [(4, 1), (8, 3), (12, 2), (12, 3)][kind];
+                let t = ClosTopology::generate(ClosParams { radix, oversubscription });
+                (t.graph().clone(), t.tors())
+            }
+            _ => {
+                let racks = [64, 66, 128, 130][kind - 4];
+                let params = ExpanderParams { racks, uplinks, hosts_per_rack: 1 };
+                (ExpanderTopology::generate(params, seed).graph().clone(), racks)
+            }
+        };
+        let want = reference_routing::static_choices(&graph, tors);
+        let mut masks = vec![0; graph.len() * tors];
+        SlotAdjacency::from_graph(&graph).ecmp_masks(tors, &mut masks);
+        for (dst, want_dst) in want.iter().enumerate() {
+            for (v, want_v) in want_dst.iter().enumerate() {
+                let got: Vec<usize> = EcmpSet::from_mask(masks[v * tors + dst]).iter().collect();
+                prop_assert_eq!(&got, want_v, "kind {} uplinks {}: {}->{}", kind, uplinks, v, dst);
+            }
+        }
+    }
+}
+
+/// Every Opera oracle shape at least once, with failures on both ends of
+/// a circuit. Seeds that ever failed the property above belong here too.
+#[test]
+fn opera_tables_match_bfs_oracle_on_every_shape() {
+    for shape in 0..OPERA_SHAPES.len() {
+        check_opera_tables(shape, 7 + shape as u64, true);
     }
 }
